@@ -33,6 +33,14 @@ Commands
 ``classify SCHEMA.json [--json]``
     Print the detected constraint fragment and its Table-1 row.
 
+Exit codes: ``decide`` uses 0/1/2 for YES/NO/UNKNOWN (``plan``: 0 for a
+plan, 1 for none).  A usage error (bad flag, missing argument) exits 64
+(``EX_USAGE``).  For ``decide``, ``plan``, ``simplify`` and ``classify``,
+an input that cannot be loaded — a missing or unreadable file, bad
+JSON, an invalid schema, an unparseable query — prints one line
+``error: <Type>: <message>`` on stderr (plus the `repro.io.ErrorFrame`
+JSON on stdout under ``--json``) and exits 65 (``EX_DATAERR``).
+
 All commands are built on `repro.service.Session`, so a process serving
 many queries pays the per-schema analysis once.  ``--max-rounds`` /
 ``--max-facts`` default to the chase limits of
@@ -82,9 +90,41 @@ from .server import (
 )
 from .service import Session, compile_schema
 
+#: sysexits(3) codes, clear of decide's 0/1/2 (YES/NO/UNKNOWN).
+EXIT_USAGE = 64
+EXIT_DATAERR = 65
+
+
+class _Parser(argparse.ArgumentParser):
+    """`argparse` exiting with ``EX_USAGE`` on a usage error (argparse's
+    own 2 would read as UNKNOWN)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class InputError(Exception):
+    """A command-line input could not be loaded; wraps the cause."""
+
+    def __init__(self, which: str, cause: BaseException) -> None:
+        super().__init__(f"{type(cause).__name__}: {cause}")
+        self.which = which
+        self.cause = cause
+
+
+def _load(which: str, loader, argument):
+    """``loader(argument)`` with load failures (missing or unreadable
+    file, bad JSON, invalid schema, unparseable query — all `OSError`
+    or `ValueError`) raised as `InputError`."""
+    try:
+        return loader(argument)
+    except (OSError, ValueError) as error:
+        raise InputError(which, error) from error
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description=(
             "Answerability of conjunctive queries over result-bounded "
@@ -504,7 +544,7 @@ def _open_store(args: argparse.Namespace):
 
 def _session(args: argparse.Namespace) -> Session:
     return Session(
-        load_schema(args.schema),
+        _load("schema", load_schema, args.schema),
         max_rounds=args.max_rounds,
         max_facts=args.max_facts,
         max_disjuncts=args.max_disjuncts,
@@ -521,11 +561,10 @@ def _close_store(owner) -> None:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    query = _load("query", load_query, args.query)
     session = _session(args)
     try:
-        response = session.decide(
-            load_query(args.query), finite=args.finite
-        )
+        response = session.decide(query, finite=args.finite)
     finally:
         _close_store(session)
     if args.json:
@@ -542,9 +581,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    query = _load("query", load_query, args.query)
     session = _session(args)
     try:
-        response = session.plan(load_query(args.query))
+        response = session.plan(query)
     finally:
         _close_store(session)
     if args.json:
@@ -948,7 +988,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_simplify(args: argparse.Namespace) -> int:
-    schema = load_schema(args.schema)
+    schema = _load("schema", load_schema, args.schema)
     transform = {
         "existence-check": existence_check_simplification,
         "fd": fd_simplification,
@@ -960,7 +1000,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    compiled = compile_schema(load_schema(args.schema))
+    compiled = compile_schema(_load("schema", load_schema, args.schema))
     if args.json:
         schema = compiled.schema
         print(
@@ -999,7 +1039,14 @@ def main(argv: list[str] | None = None) -> int:
         "simplify": _cmd_simplify,
         "classify": _cmd_classify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InputError as error:
+        print(f"error: {error}", file=sys.stderr, flush=True)
+        if getattr(args, "json", False):
+            frame = ErrorFrame.from_exception(error.cause, input=error.which)
+            print(json.dumps(frame.to_dict()))
+        return EXIT_DATAERR
 
 
 if __name__ == "__main__":

@@ -258,9 +258,11 @@ def decide_with_ids(
         )
     except RewritingError as error:
         return Decision.unknown(str(error), route="linearization")
+    # Disjuncts are pairwise non-isomorphic, so a compiled plan would
+    # almost never be reused: probe each one plan-free.
     matcher = compiled.matcher()
     for disjunct in rewriting.disjuncts:
-        if matcher.has(disjunct.atoms, start, budget=budget):
+        if matcher.probe(disjunct.atoms, start, budget=budget):
             return Decision.yes(
                 "linearized rewriting matches the saturated canonical "
                 "database (Prop 5.5 + backward rewriting)",

@@ -26,6 +26,10 @@ over one fixed rule set:
   deterministic scheme), and the full expansion of each canonical state
   is memoized, so rewriting query N+1 reuses every frontier state
   already explored for queries 1..N;
+* states live in **int space** (`StateCodec`): tuples of int-encoded
+  atoms, with the per-atom sort keys memoized, so canonicalization,
+  step application and factorization hash small ints only; `Atom`
+  objects are built for emitted disjuncts alone;
 * emitted UCQs are deduplicated by canonical isomorphism class and
   sorted deterministically, so the output (and any cache key derived
   from it) is stable across runs and across engine instances.
@@ -39,14 +43,15 @@ raises otherwise.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from ..constraints.tgd import TGD
 from ..logic.atoms import Atom
-from ..logic.evaluation import holds
 from ..logic.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Constant, Null, Term, Variable
 from ..matching.matcher import default_matcher, freeze_atoms
+from ..matching.probe import probe_once
 from ..obs.timing import stage
 from ..runtime import Budget
 from .decision import Decision
@@ -131,26 +136,23 @@ class _Unifier:
 
 
 # ----------------------------------------------------------------------
-# Canonical states
+# Canonical states, in int space
 # ----------------------------------------------------------------------
-def _shape(a: Atom) -> tuple:
-    """A variable-blind pattern of one atom (repetitions + constants)."""
-    pattern = []
-    first_seen: dict[Term, int] = {}
-    for term in a.terms:
-        if isinstance(term, Variable):
-            pattern.append(("v", first_seen.setdefault(term, len(first_seen))))
-        else:
-            pattern.append(("c", repr(term)))
-    return (a.relation, tuple(pattern))
+#: An int-encoded atom: the relation id, then one id per term —
+#: variables are ids >= 0, rigid terms (constants, nulls) ids < 0.
+IntAtom = tuple[int, ...]
+#: A Boolean CQ body of int-encoded atoms.
+IntState = tuple[IntAtom, ...]
 
+#: Entries a per-atom key memo holds before a wholesale clear (the
+#: memos are pure caches: a cleared key is recomputed on its next use).
+KEY_MEMO_LIMIT = 1 << 16
 
 #: Interned canonical/fresh variables (the hot loop allocates none).
 #: The pools are process-global — engines on different schemas share
 #: them — so growth takes a lock; reads are safe because the pools only
 #: ever append.
 _CANONICAL_VARS: list[Variable] = []
-_FRESH_VARS: list[Variable] = []
 _POOL_LOCK = threading.Lock()
 
 
@@ -163,38 +165,206 @@ def _interned(pool: list[Variable], prefix: str, index: int) -> Variable:
     return pool[index]
 
 
+class StateCodec:
+    """Int encoding of rewriting states, with memoized per-atom keys.
+
+    Relations are interned to ids from 0 up and rigid terms to ids from
+    -1 down (``~id`` indexes the term table); variables are plain ids
+    >= 0, so a state is a tuple of small int tuples and hashing it never
+    reaches a `Term`.  The three keys the rewriting compares atoms by —
+    the variable-blind shape, the canonical sort key and the emission
+    key — are the object-space keys verbatim, computed once per
+    distinct int atom and memoized, so `canonical` reproduces the
+    object-space normal form exactly and `decode` turns it into the
+    historical ``_q*`` atoms.
+
+    Not thread-safe: an engine uses its codec under its own lock.
+    """
+
+    def __init__(self) -> None:
+        self._relation_ids: dict[str, int] = {}
+        self._relations: list[str] = []
+        self._rigid_ids: dict[Term, int] = {}
+        self._rigid_terms: list[Term] = []
+        self._rigid_reprs: list[str] = []
+        self._shape_keys: dict[IntAtom, tuple] = {}
+        self._order_keys: dict[IntAtom, tuple] = {}
+        self._emission_keys: dict[IntAtom, tuple] = {}
+        self._atoms: dict[IntAtom, Atom] = {}
+
+    # -- interning -----------------------------------------------------
+    def relation_id(self, relation: str) -> int:
+        index = self._relation_ids.get(relation)
+        if index is None:
+            index = len(self._relations)
+            self._relation_ids[relation] = index
+            self._relations.append(relation)
+        return index
+
+    def rigid_id(self, term: Term) -> int:
+        code = self._rigid_ids.get(term)
+        if code is None:
+            code = ~len(self._rigid_terms)
+            self._rigid_ids[term] = code
+            self._rigid_terms.append(term)
+            self._rigid_reprs.append(repr(term))
+        return code
+
+    def relation_name(self, relation: int) -> str:
+        return self._relations[relation]
+
+    def rigid_term(self, code: int) -> Term:
+        return self._rigid_terms[~code]
+
+    def encode(self, atoms: Iterable[Atom]) -> tuple[IntAtom, ...]:
+        """Int atoms of an object-space body (variables numbered by
+        first occurrence; not yet canonical)."""
+        variables: dict[Variable, int] = {}
+        encoded = []
+        for a in atoms:
+            row = [self.relation_id(a.relation)]
+            for t in a.terms:
+                if isinstance(t, Variable):
+                    row.append(variables.setdefault(t, len(variables)))
+                else:
+                    row.append(self.rigid_id(t))
+            encoded.append(tuple(row))
+        return tuple(encoded)
+
+    def decode(self, state: IntState) -> State:
+        """The object-space atoms: variable ``i`` becomes ``_q{i}``."""
+        memo = self._atoms
+        if len(memo) >= KEY_MEMO_LIMIT:
+            memo.clear()
+        decoded = []
+        for a in state:
+            built = memo.get(a)
+            if built is None:
+                rigid = self._rigid_terms
+                built = Atom(
+                    self._relations[a[0]],
+                    tuple(
+                        _interned(_CANONICAL_VARS, "_q", code)
+                        if code >= 0
+                        else rigid[~code]
+                        for code in a[1:]
+                    ),
+                )
+                memo[a] = built
+            decoded.append(built)
+        return tuple(decoded)
+
+    # -- per-atom keys -------------------------------------------------
+    def shape_key(self, a: IntAtom) -> tuple:
+        """A variable-blind pattern of one atom (repetitions + rigid
+        terms): ``(relation, (("v", local) | ("c", repr), ...))``."""
+        key = self._shape_keys.get(a)
+        if key is None:
+            pattern = []
+            first_seen: dict[int, int] = {}
+            for code in a[1:]:
+                if code >= 0:
+                    pattern.append(
+                        ("v", first_seen.setdefault(code, len(first_seen)))
+                    )
+                else:
+                    pattern.append(("c", self._rigid_reprs[~code]))
+            key = (self._relations[a[0]], tuple(pattern))
+            self._shape_keys[a] = key
+        return key
+
+    def _order_key(self, a: IntAtom) -> tuple:
+        """Sort key of a renamed atom: variables by index, before rigid
+        terms by repr."""
+        key = self._order_keys.get(a)
+        if key is None:
+            reprs = self._rigid_reprs
+            key = (
+                self._relations[a[0]],
+                tuple(
+                    (0, code) if code >= 0 else (1, reprs[~code])
+                    for code in a[1:]
+                ),
+            )
+            self._order_keys[a] = key
+        return key
+
+    def emission_key(self, state: IntState) -> tuple:
+        """``(size, per-atom (relation, term reprs))`` of a canonical
+        state — the deterministic emission order."""
+        keys = self._emission_keys
+        if len(keys) >= KEY_MEMO_LIMIT:
+            keys.clear()
+        parts = []
+        for a in state:
+            key = keys.get(a)
+            if key is None:
+                reprs = self._rigid_reprs
+                key = (
+                    self._relations[a[0]],
+                    tuple(
+                        f"_q{code}" if code >= 0 else reprs[~code]
+                        for code in a[1:]
+                    ),
+                )
+                keys[a] = key
+            parts.append(key)
+        return (len(state), tuple(parts))
+
+    # -- the canonical form --------------------------------------------
+    def canonical(self, atoms: Iterable[IntAtom]) -> IntState:
+        """A renaming-invariant normal form of a Boolean CQ body.
+
+        Atoms are ordered by a variable-blind shape, variables renamed
+        to ``0, 1, ...`` by first occurrence, duplicates dropped, and
+        the result sorted deterministically.  Alpha-equivalent bodies
+        presented in the same atom order map to the same state
+        (shape-sort ties may distinguish some isomorphic bodies — see
+        the isomorphism dedup at emission — which costs duplicates,
+        never correctness).
+        """
+        shape_keys = self._shape_keys
+        if len(shape_keys) >= KEY_MEMO_LIMIT:
+            shape_keys.clear()
+        order_keys = self._order_keys
+        if len(order_keys) >= KEY_MEMO_LIMIT:
+            order_keys.clear()
+        unique = dict.fromkeys(atoms)
+        shape_key = self.shape_key
+        for a in unique:
+            if a not in shape_keys:
+                shape_key(a)
+        renaming: dict[int, int] = {}
+        rebuilt = []
+        for a in sorted(unique, key=shape_keys.__getitem__):
+            row = [a[0]]
+            for code in a[1:]:
+                if code >= 0:
+                    index = renaming.get(code)
+                    if index is None:
+                        index = renaming[code] = len(renaming)
+                    code = index
+                row.append(code)
+            renamed = tuple(row)
+            if renamed not in order_keys:
+                self._order_key(renamed)
+            rebuilt.append(renamed)
+        # Distinct atoms stay distinct under the (bijective) renaming,
+        # so the sorted list needs no second dedup.
+        rebuilt.sort(key=order_keys.__getitem__)
+        return tuple(rebuilt)
+
+
 def canonical_state(atoms: Iterable[Atom]) -> State:
     """A renaming-invariant normal form of a Boolean CQ body.
 
-    Atoms are ordered by a variable-blind shape, variables renamed to
-    ``_q0, _q1, ...`` by first occurrence, duplicates dropped, and the
-    result sorted deterministically.  Alpha-equivalent bodies presented
-    in the same atom order map to the same state (shape-sort ties may
-    distinguish some isomorphic bodies — see the isomorphism dedup at
-    emission — which costs duplicates, never correctness).
+    The object-space entry point: encodes the atoms, runs
+    `StateCodec.canonical` and decodes the result (variables become
+    ``_q0, _q1, ...``).  `RewriteEngine` keeps its states encoded and
+    calls the codec directly.
     """
-    ordered = sorted(dict.fromkeys(atoms), key=_shape)
-    renaming: dict[Variable, int] = {}
-    rebuilt = []
-    for a in ordered:
-        terms = []
-        sort_terms = []
-        for t in a.terms:
-            if isinstance(t, Variable):
-                index = renaming.get(t)
-                if index is None:
-                    index = len(renaming)
-                    renaming[t] = index
-                terms.append(_interned(_CANONICAL_VARS, "_q", index))
-                sort_terms.append((0, index))
-            else:
-                terms.append(t)
-                sort_terms.append((1, repr(t)))
-        rebuilt.append(
-            ((a.relation, tuple(sort_terms)), Atom(a.relation, tuple(terms)))
-        )
-    rebuilt.sort(key=lambda pair: pair[0])
-    return tuple(dict.fromkeys(a for __, a in rebuilt))
+    codec = StateCodec()
+    return codec.decode(codec.canonical(codec.encode(atoms)))
 
 
 def _isomorphic(left: State, right: State) -> bool:
@@ -209,29 +379,51 @@ def _isomorphic(left: State, right: State) -> bool:
     return default_matcher().is_isomorphic(left, right)
 
 
-def _factorizations(atoms: State) -> Iterable[tuple[Atom, ...]]:
-    """Unify pairs of same-relation atoms (the 'reduce' step)."""
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if atoms[i].relation != atoms[j].relation:
+def _find(parent: dict[int, int], code: int) -> int:
+    while True:
+        step = parent.get(code)
+        if step is None:
+            return code
+        code = step
+
+
+def _factorizations(atoms: IntState) -> Iterable[tuple[IntAtom, ...]]:
+    """Unify pairs of same-relation atoms (the 'reduce' step).
+
+    Union-find over term ids: a rigid id wins a class, two distinct
+    rigid ids clash.  Which variable represents a merged class does not
+    matter — the canonical form is invariant under variable renaming.
+    """
+    count = len(atoms)
+    for i in range(count):
+        left = atoms[i]
+        for j in range(i + 1, count):
+            right = atoms[j]
+            if left[0] != right[0] or len(left) != len(right):
                 continue
-            if atoms[i].arity != atoms[j].arity:
-                continue
-            unifier = _Unifier()
+            parent: dict[int, int] = {}
             ok = True
-            for left, right in zip(atoms[i].terms, atoms[j].terms):
-                if not unifier.union(left, right):
-                    ok = False
-                    break
+            for position in range(1, len(left)):
+                left_root = _find(parent, left[position])
+                right_root = _find(parent, right[position])
+                if left_root == right_root:
+                    continue
+                if left_root < 0:
+                    if right_root < 0:
+                        ok = False
+                        break
+                    parent[right_root] = left_root
+                else:
+                    parent[left_root] = right_root
             if not ok:
                 continue
-            substitution = {
-                term: unifier.find(term) for term in list(unifier._parent)
-            }
             merged = tuple(
-                dict.fromkeys(a.substitute(substitution) for a in atoms)
+                dict.fromkeys(
+                    (a[0],) + tuple(_find(parent, code) for code in a[1:])
+                    for a in atoms
+                )
             )
-            if len(merged) < len(atoms):
+            if len(merged) < count:
                 yield merged
 
 
@@ -243,6 +435,11 @@ def _factorizations(atoms: State) -> Iterable[tuple[Atom, ...]]:
 #: (("v", local_id) | ("c", constant) | ("f", fresh_id)), and the
 #: equalities the head unification forces on the rest of the query.
 _Step = tuple[str, tuple, tuple]
+#: The same step lowered to int space: the relation id, the produced
+#: atom as codes (a local id, ``locals + fresh_id`` for a fresh
+#: variable, or a rigid id < 0), the merges as ``(local_id, code)``
+#: pairs, and the number of fresh variables.
+_IntStep = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
 class RewriteEngine:
@@ -297,12 +494,15 @@ class RewriteEngine:
             self._rules_by_head[key] = self._rules_by_head.get(key, ()) + (
                 index,
             )
+        #: Frontier states live in int space (`StateCodec`); only
+        #: emitted disjuncts are decoded back to atoms.
+        self._codec = StateCodec()
         #: atom pattern -> compiled steps (the per-atom rewrite memo).
-        self._steps: dict[tuple, tuple[_Step, ...]] = {}
+        self._steps: dict[tuple, tuple[_IntStep, ...]] = {}
         #: canonical state -> canonical successor states.
-        self._expansions: dict[State, tuple[State, ...]] = {}
+        self._expansions: dict[IntState, tuple[IntState, ...]] = {}
         #: initial canonical state -> (frontier size, emitted disjuncts).
-        self._results: dict[State, tuple[int, tuple[State, ...]]] = {}
+        self._results: dict[IntState, tuple[int, tuple[State, ...]]] = {}
         #: optional durable tier behind the whole-result memo
         #: (`bind_store`): misses fall through to it before the BFS,
         #: complete results are written through after the memo.
@@ -402,41 +602,63 @@ class RewriteEngine:
     # Per-atom-pattern step compilation
     # ------------------------------------------------------------------
     def _atom_steps(
-        self, a: Atom, shared: frozenset[int], local_of: dict[Variable, int]
-    ) -> tuple[_Step, ...]:
+        self, relation: int, pattern: tuple[int, ...], shared: frozenset[int]
+    ) -> tuple[_IntStep, ...]:
         """Compiled steps for one atom occurrence.
 
-        ``shared`` holds the local ids of the atom's variables that also
-        occur elsewhere in the query; together with the atom's shape it
-        fully determines applicability and effect of every rule, so the
+        ``pattern`` is the atom's terms with each variable replaced by
+        its local id (first occurrence within the atom, >= 0) and rigid
+        ids kept (< 0); ``shared`` holds the local ids of the atom's
+        variables that also occur elsewhere in the query.  Together they
+        fully determine applicability and effect of every rule, so the
         result is memoized across states *and* across queries.
         """
-        pattern = tuple(
-            ("v", local_of[t]) if isinstance(t, Variable) else ("c", t)
-            for t in a.terms
-        )
-        key = (a.relation, pattern, shared)
+        key = (relation, pattern, shared)
         steps = self._steps.get(key)
         if steps is not None:
             self._counters["atom_pattern_hits"] += 1
             return steps
         self._counters["atom_patterns_compiled"] += 1
-        variables = {
-            lid: Variable(f"_p{lid}") for lid in set(local_of.values())
-        }
+        codec = self._codec
+        locals_count = len({code for code in pattern if code >= 0})
+        variables = {lid: Variable(f"_p{lid}") for lid in range(locals_count)}
         terms = tuple(
-            variables[token[1]] if token[0] == "v" else token[1]
-            for token in pattern
+            variables[code] if code >= 0 else codec.rigid_term(code)
+            for code in pattern
         )
-        patom = Atom(a.relation, terms)
+        name = codec.relation_name(relation)
+        patom = Atom(name, terms)
         compiled = []
-        for rule_index in self._rules_by_head.get((a.relation, a.arity), ()):
+        for rule_index in self._rules_by_head.get((name, len(terms)), ()):
             step = self._compile_step(patom, variables, shared, rule_index)
             if step is not None:
-                compiled.append(step)
+                compiled.append(self._lower(step, locals_count))
         steps = tuple(compiled)
         self._steps[key] = steps
         return steps
+
+    def _lower(self, step: _Step, locals_count: int) -> _IntStep:
+        """A compiled step in int codes (see `_IntStep`)."""
+        relation, produced, merges = step
+        codec = self._codec
+        fresh = 0
+
+        def code_of(token: tuple) -> int:
+            nonlocal fresh
+            kind, value = token
+            if kind == "v":
+                return value
+            if kind == "f":
+                fresh = max(fresh, value + 1)
+                return locals_count + value
+            return codec.rigid_id(value)
+
+        return (
+            codec.relation_id(relation),
+            tuple(code_of(token) for token in produced),
+            tuple((lid, code_of(token)) for lid, token in merges),
+            fresh,
+        )
 
     def _compile_step(
         self,
@@ -527,52 +749,76 @@ class RewriteEngine:
     # ------------------------------------------------------------------
     # State expansion
     # ------------------------------------------------------------------
-    def _apply(self, state: State, index: int, step: _Step,
-               var_of_local: dict[int, Variable]) -> State:
-        relation, produced, merges = step
-        substitution: dict[Term, Term] = {}
-        for lid, (kind, value) in merges:
-            substitution[var_of_local[lid]] = (
-                value if kind == "c" else var_of_local[value]
-            )
+    def _apply(
+        self,
+        state: IntState,
+        index: int,
+        step: _IntStep,
+        var_of_local: list[int],
+        fresh_base: int,
+    ) -> IntState:
+        relation, produced, merges, fresh = step
+        image = var_of_local
+        if fresh:
+            image = var_of_local + list(range(fresh_base, fresh_base + fresh))
         rest = state[:index] + state[index + 1:]
-        if substitution:
-            rest = tuple(a.substitute(substitution) for a in rest)
-        terms = []
-        for kind, value in produced:
-            if kind == "v":
-                terms.append(var_of_local[value])
-            elif kind == "c":
-                terms.append(value)
-            else:
-                terms.append(_interned(_FRESH_VARS, "_f", value))
-        return canonical_state(rest + (Atom(relation, tuple(terms)),))
+        if merges:
+            substitution = {
+                var_of_local[lid]: image[code] if code >= 0 else code
+                for lid, code in merges
+            }
+            get = substitution.get
+            rest = tuple(
+                (a[0],) + tuple(get(code, code) for code in a[1:])
+                for a in rest
+            )
+        new_atom = (relation,) + tuple(
+            image[code] if code >= 0 else code for code in produced
+        )
+        return self._codec.canonical(rest + (new_atom,))
 
-    def _expand(self, state: State) -> tuple[State, ...]:
+    def _expand(self, state: IntState) -> tuple[IntState, ...]:
         cached = self._expansions.get(state)
         if cached is not None:
             self._counters["expansions_reused"] += 1
             return cached
-        successors: list[State] = []
-        for factored in _factorizations(state):
-            successors.append(canonical_state(factored))
-        occurrences: dict[Variable, int] = {}
+        canonical = self._codec.canonical
+        successors = [canonical(merged) for merged in _factorizations(state)]
+        occurrences: dict[int, int] = {}
         for a in state:
-            for v in a.variables():
-                occurrences[v] = occurrences.get(v, 0) + a.terms.count(v)
+            for code in a[1:]:
+                if code >= 0:
+                    occurrences[code] = occurrences.get(code, 0) + 1
+        # Fresh variables of a step get ids no state variable uses.
+        fresh_base = max(occurrences) + 1 if occurrences else 0
         for index, a in enumerate(state):
-            local_of: dict[Variable, int] = {}
-            for t in a.terms:
-                if isinstance(t, Variable) and t not in local_of:
-                    local_of[t] = len(local_of)
+            local_of: dict[int, int] = {}
+            counts: list[int] = []
+            pattern = []
+            for code in a[1:]:
+                if code >= 0:
+                    lid = local_of.get(code)
+                    if lid is None:
+                        lid = local_of[code] = len(counts)
+                        counts.append(1)
+                    else:
+                        counts[lid] += 1
+                    code = lid
+                pattern.append(code)
             shared = frozenset(
                 lid
-                for v, lid in local_of.items()
-                if occurrences[v] > a.terms.count(v)
+                for code, lid in local_of.items()
+                if occurrences[code] > counts[lid]
             )
-            var_of_local = {lid: v for v, lid in local_of.items()}
-            for step in self._atom_steps(a, shared, local_of):
-                successors.append(self._apply(state, index, step, var_of_local))
+            steps = self._atom_steps(a[0], tuple(pattern), shared)
+            if steps:
+                var_of_local = list(local_of)
+                for step in steps:
+                    successors.append(
+                        self._apply(
+                            state, index, step, var_of_local, fresh_base
+                        )
+                    )
         result = tuple(dict.fromkeys(successors))
         self._expansions[state] = result
         self._counters["expansions_built"] += 1
@@ -581,40 +827,40 @@ class RewriteEngine:
     # ------------------------------------------------------------------
     # Deterministic, isomorphism-deduplicated emission
     # ------------------------------------------------------------------
-    @staticmethod
-    def _emission_key(state: State) -> tuple:
-        return (
-            len(state),
-            tuple(
-                (a.relation, tuple(repr(t) for t in a.terms)) for a in state
-            ),
-        )
-
     def _emit(
-        self, states: Iterable[State], budget: Optional[Budget] = None
+        self, states: Iterable[IntState], budget: Optional[Budget] = None
     ) -> tuple[State, ...]:
-        ordered = sorted(states, key=self._emission_key)
-        buckets: dict[tuple, list[State]] = {}
-        kept: list[State] = []
+        codec = self._codec
+        ordered = sorted(states, key=codec.emission_key)
+        buckets: dict[tuple, list[IntState]] = {}
+        kept: list[IntState] = []
         matcher = self._matcher
+        decode = codec.decode
+        shape_key = codec.shape_key
         for state in ordered:
             if budget is not None:
                 budget.tick()
-            invariant = tuple(sorted(_shape(a) for a in state))
+            invariant = tuple(sorted(shape_key(a) for a in state))
             bucket = buckets.setdefault(invariant, [])
-            if any(matcher.is_isomorphic(state, other) for other in bucket):
-                self._counters["disjuncts_deduped"] += 1
-                continue
+            # States alone in their shape bucket are never decoded here.
+            if bucket:
+                atoms = decode(state)
+                if any(
+                    matcher.is_isomorphic(atoms, decode(other))
+                    for other in bucket
+                ):
+                    self._counters["disjuncts_deduped"] += 1
+                    continue
             bucket.append(state)
             kept.append(state)
         if self._subsumption:
             kept = self._prune_subsumed(kept, budget)
         self._counters["disjuncts_emitted"] += len(kept)
-        return tuple(kept)
+        return tuple(codec.decode(state) for state in kept)
 
     def _prune_subsumed(
-        self, ordered: list[State], budget: Optional[Budget] = None
-    ) -> list[State]:
+        self, ordered: list[IntState], budget: Optional[Budget] = None
+    ) -> list[IntState]:
         """Drop disjuncts hom-implied by a smaller kept disjunct.
 
         A homomorphism p → CanonDB(q) means q ⊨ p, so any instance
@@ -623,44 +869,54 @@ class RewriteEngine:
         arrive smallest-first, so kept disjuncts only ever subsume
         later (larger-or-equal) ones — deterministic output.
 
-        The pass is quadratic in the disjunct count, so two things keep
-        it cheap on wide rewritings: a homomorphism preserves relations
-        and constants, so a kept disjunct whose relation set (or
-        constant set) is not contained in the candidate's cannot map
-        into it — checked on precomputed frozensets before any search —
-        and each kept disjunct's match plan is fetched once and reused
-        across every candidate it is probed against.
+        The pass is quadratic in the disjunct count, so three things
+        keep it cheap on wide rewritings: a homomorphism preserves
+        relations and constants, so a kept disjunct whose relation set
+        (or rigid-term set) is not contained in the candidate's cannot
+        map into it — checked on int frozensets before any search; a
+        candidate is decoded and frozen only once some kept disjunct
+        passes those filters (most never do); and each kept disjunct's
+        match plan is fetched once and reused across every candidate it
+        is probed against.
         """
         matcher = self._matcher
-        kept: list[State] = []
+        decode = self._codec.decode
+        kept: list[IntState] = []
         kept_relations: list[frozenset] = []
         kept_constants: list[frozenset] = []
+        #: per kept state: None until first searched, then its decoded
+        #: atoms and match plan.
         kept_plans: list = []
         for state in ordered:
             if budget is not None:
                 budget.tick()
-            state_relations = frozenset(a.relation for a in state)
+            state_relations = frozenset(a[0] for a in state)
             state_constants = frozenset(
-                t
-                for a in state
-                for t in a.terms
-                if not isinstance(t, Variable)
+                code for a in state for code in a[1:] if code < 0
             )
-            frozen, __ = freeze_atoms(state)
+            frozen = None
             subsumed = False
-            for index, smaller in enumerate(kept):
-                if len(smaller) > len(state):
-                    continue
-                if not kept_relations[index] <= state_relations:
-                    continue
+            # Kept states are never larger (emission order is by size),
+            # so only the relation and constant filters apply.
+            candidates = compress(
+                range(len(kept)),
+                map(state_relations.issuperset, kept_relations),
+            )
+            for index in candidates:
                 if not kept_constants[index] <= state_constants:
                     continue
                 self._counters["subsumption_checks"] += 1
-                plan = kept_plans[index]
-                if plan is None:
-                    plan = matcher.plan_for(smaller, frozen)
-                    kept_plans[index] = plan
-                if matcher.maps_into(smaller, frozen, plan=plan):
+                if frozen is None:
+                    frozen, __ = freeze_atoms(decode(state))
+                entry = kept_plans[index]
+                if entry is None:
+                    atoms = decode(kept[index])
+                    entry = kept_plans[index] = (
+                        atoms,
+                        matcher.plan_for(atoms, frozen),
+                    )
+                atoms, plan = entry
+                if matcher.maps_into(atoms, frozen, plan=plan):
                     subsumed = True
                     break
             if subsumed:
@@ -703,10 +959,11 @@ class RewriteEngine:
         limit = self.max_disjuncts if max_disjuncts is None else max_disjuncts
         with stage("rewrite"), self._lock:
             self._counters["rewrites"] += 1
-            start = canonical_state(query.atoms)
+            codec = self._codec
+            start = codec.canonical(codec.encode(query.atoms))
             cached = self._results.get(start)
             if cached is None and self._store is not None:
-                cached = self._load_persisted(start)
+                cached = self._load_persisted(codec.decode(start))
                 if cached is not None:
                     self._results[start] = cached
                     self._counters["persisted_loads"] += 1
@@ -735,7 +992,9 @@ class RewriteEngine:
                 disjuncts = self._emit(frontier, budget)
                 self._results[start] = (len(frontier), disjuncts)
                 if self._store is not None:
-                    self._persist_result(start, len(frontier), disjuncts)
+                    self._persist_result(
+                        codec.decode(start), len(frontier), disjuncts
+                    )
         return UnionOfConjunctiveQueries(
             tuple(
                 ConjunctiveQuery(atoms, (), f"{query.name}_rw{i}")
@@ -810,7 +1069,7 @@ def linear_contains(
         return Decision.unknown(str(error))
     canonical, __ = query.canonical_instance()
     for disjunct in rewriting.disjuncts:
-        if holds(disjunct, canonical):
+        if probe_once(disjunct.atoms, canonical):
             return Decision.yes(
                 f"rewriting disjunct {disjunct.name} matches the canonical "
                 "database",

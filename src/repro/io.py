@@ -84,8 +84,23 @@ def parse_constraint(text: str):
     return tgd(stripped, name=name)
 
 
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it has the JSON type ``kind``, else a typed error
+    (so malformed shapes never surface as a bare `TypeError`)."""
+    if not isinstance(value, kind):
+        raise SchemaFormatError(
+            f"{what} must be a JSON {_JSON_NAMES[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def schema_from_dict(description: dict[str, Any]) -> Schema:
     """Build a `Schema` from a parsed JSON description."""
+    _expect(description, dict, "a schema")
     if "relations" not in description:
         raise SchemaFormatError("missing 'relations' section")
     if not isinstance(description["relations"], dict):
@@ -94,12 +109,15 @@ def schema_from_dict(description: dict[str, Any]) -> Schema:
             f"{type(description['relations']).__name__}"
         )
     schema = Schema()
-    attributes = description.get("attributes", {})
+    attributes = _expect(
+        description.get("attributes", {}), dict, "'attributes'"
+    )
     for name, arity in description["relations"].items():
         if not isinstance(arity, int) or arity < 0:
             raise SchemaFormatError(f"bad arity for relation {name}")
         schema.add_relation(name, arity, attributes.get(name))
-    for method in description.get("methods", []):
+    for method in _expect(description.get("methods", []), list, "'methods'"):
+        _expect(method, dict, "a method entry")
         try:
             name = method["name"]
             relation = method["relation"]
@@ -107,7 +125,14 @@ def schema_from_dict(description: dict[str, Any]) -> Schema:
             raise SchemaFormatError(
                 f"method entry missing {missing}: {method}"
             ) from None
-        inputs = [i - 1 for i in method.get("inputs", [])]
+        inputs = _expect(
+            method.get("inputs", []), list, f"method {name}: 'inputs'"
+        )
+        if not all(isinstance(i, int) for i in inputs):
+            raise SchemaFormatError(
+                f"method {name}: input positions must be integers"
+            )
+        inputs = [i - 1 for i in inputs]
         if any(i < 0 for i in inputs):
             raise SchemaFormatError(
                 f"method {name}: input positions are 1-based"
@@ -119,8 +144,12 @@ def schema_from_dict(description: dict[str, Any]) -> Schema:
             result_bound=method.get("result_bound"),
             result_lower_bound=method.get("result_lower_bound"),
         )
-    for text in description.get("constraints", []):
-        schema.add_constraint(parse_constraint(text))
+    for text in _expect(
+        description.get("constraints", []), list, "'constraints'"
+    ):
+        schema.add_constraint(
+            parse_constraint(_expect(text, str, "a constraint"))
+        )
     return schema
 
 

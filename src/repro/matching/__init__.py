@@ -10,6 +10,9 @@ bottoms out in homomorphism search.  This package owns that search:
 * `matcher.Matcher` executes plans with cross-call memoization — a
   bounded plan LRU, and a result/failure cache invalidated by the
   per-relation generation counters of `repro.data.Instance`;
+* `probe.probe_once` answers one-shot existence checks (each body
+  probed once, as the ID route's disjunct probes are) by a greedy
+  int-space search that compiles and caches no plan;
 * `naive` keeps the original backtracking search as the executable
   reference (`NaiveMatcher`) the planned matcher is cross-checked and
   benchmarked against.
@@ -30,6 +33,7 @@ from .matcher import (
 )
 from .naive import NaiveMatcher, naive_homomorphisms
 from .plan import CompiledAtom, MatchPlan, plan_key
+from .probe import probe_once
 
 __all__ = [
     "DEFAULT_CHECK_CACHE_LIMIT",
@@ -42,4 +46,5 @@ __all__ = [
     "freeze_atoms",
     "naive_homomorphisms",
     "plan_key",
+    "probe_once",
 ]

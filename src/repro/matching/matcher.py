@@ -50,6 +50,7 @@ from .intexec import (
     int_search,
 )
 from .plan import MatchPlan, plan_key
+from .probe import probe_once
 
 Assignment = dict[Term, GroundTerm]
 
@@ -342,6 +343,7 @@ class Matcher:
             "check_evictions": 0,
             "iso_checks": 0,
             "subsumption_checks": 0,
+            "probes": 0,
         }
 
     # -- plans ---------------------------------------------------------
@@ -509,6 +511,22 @@ class Matcher:
             counters["check_evictions"] += 1
         cache[key] = (result, generations)
         return result
+
+    def probe(
+        self,
+        atoms: Sequence[Atom],
+        instance: Instance,
+        *,
+        budget: Optional[Budget] = None,
+    ) -> bool:
+        """Uncached, plan-free existence check (`probe.probe_once`).
+
+        For bodies checked once and never again — compiling and caching
+        a plan for each would cost more than the search.  Counted under
+        ``probes``; touches neither the plan cache nor the check cache.
+        """
+        self._counters["probes"] += 1
+        return probe_once(atoms, instance, budget=budget)
 
     def distinct_matches(
         self,

@@ -260,7 +260,8 @@ class TestStats:
         assert cache["misses"] == 2
         assert cache["hits"] == 2
         assert entry["rewrite_engine"]["rewrites"] >= 1
-        assert entry["matching"]["checks"] >= 1
+        # The ID route probes its disjuncts through `Matcher.probe`.
+        assert entry["matching"]["probes"] >= 1
 
 
 def schema_dict(arity: int = 2) -> dict:

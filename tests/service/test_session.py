@@ -183,18 +183,27 @@ class TestLimitsAndExplain:
 
     def test_stats_shows_matcher_cache_traffic(self):
         # The ID route probes every rewriting disjunct through the
-        # compiled schema's matcher; a batch of queries must show plan
-        # reuse in the session stats.
-        from repro.workloads import id_chain_workload
+        # compiled schema's matcher, plan-free (each disjunct is probed
+        # once): the session stats count the probes and show no plan
+        # compiled for them.
+        from repro.workloads import fd_determinacy_workload, id_chain_workload
 
         session = Session(id_chain_workload(5).schema)
         for i in range(6):
             assert session.decide(f"R{i}(x)").is_yes
         matching = session.stats()["matching"]
         assert matching["strategy"] == "planned"
+        assert matching["probes"] >= 6
+        assert matching["plans_compiled"] == 0
+        # The chase routes run planned searches: their stats show plan
+        # compilation and reuse.
+        workload = fd_determinacy_workload(2)
+        session = Session(workload.schema)
+        assert session.decide(workload.query).is_yes
+        matching = session.stats()["matching"]
         assert matching["plans_compiled"] >= 1
         assert matching["plan_hits"] > 0
-        assert session.explain("R0(x)")["matching"]["plan_hits"] > 0
+        assert session.explain(workload.query)["matching"]["plan_hits"] > 0
 
     def test_rewriting_budget_surfaces_structured_error(self):
         from repro.workloads import id_chain_workload

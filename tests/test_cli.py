@@ -336,3 +336,122 @@ class TestCLIBatch:
         session = stats["sessions"][0]
         assert session["cache"]["hits"] == 1
         assert session["rewrite_engine"]["rewrites"] >= 1
+
+
+#: argv tail per subcommand after the schema path (a valid query where
+#: the command takes one).
+COMMAND_TAILS = {
+    "decide": ["Udirectory(i,a,p)"],
+    "plan": ["Udirectory(i,a,p)"],
+    "simplify": ["choice"],
+    "classify": [],
+}
+
+
+def bad_schema_path(kind: str, tmp_path) -> tuple[str, str]:
+    """(path, expected error type) for one kind of bad schema input."""
+    if kind == "missing":
+        return str(tmp_path / "absent.json"), "FileNotFoundError"
+    if kind == "unreadable":
+        # A directory cannot be read as a file, even by root.
+        return str(tmp_path), "IsADirectoryError"
+    path = tmp_path / f"{kind}.json"
+    if kind == "bad-json":
+        path.write_text('{"relations": ')
+        return str(path), "JSONDecodeError"
+    if kind == "invalid-shape":
+        path.write_text(json.dumps({"relations": {"R": 2}, "methods": ["m"]}))
+        return str(path), "SchemaFormatError"
+    assert kind == "invalid-schema"
+    description = dict(UNIVERSITY)
+    description["methods"] = [{"name": "m", "relation": "Nope", "inputs": []}]
+    path.write_text(json.dumps(description))
+    return str(path), "SchemaError"
+
+
+class TestCLIInputErrors:
+    """Unloadable input exits 65 (EX_DATAERR) with one stderr line;
+    usage errors exit 64 (EX_USAGE).  0/1/2 stay decision codes."""
+
+    @staticmethod
+    def assert_one_error_line(err: str, error_type: str) -> None:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"error: {error_type}: ")
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "missing",
+            "unreadable",
+            "bad-json",
+            "invalid-shape",
+            "invalid-schema",
+        ],
+    )
+    @pytest.mark.parametrize("command", sorted(COMMAND_TAILS))
+    def test_bad_schema_exits_65(self, command, kind, tmp_path, capsys):
+        path, error_type = bad_schema_path(kind, tmp_path)
+        code = main([command, path, *COMMAND_TAILS[command]])
+        assert code == 65
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured.err, error_type)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["decide", "plan"])
+    def test_unparseable_query_exits_65(self, command, schema_file, capsys):
+        code = main([command, schema_file, "Udirectory(i,"])
+        assert code == 65
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured.err, "ParseError")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["decide", "plan", "classify"])
+    def test_json_mode_adds_an_error_object(self, command, tmp_path, capsys):
+        path, error_type = bad_schema_path("bad-json", tmp_path)
+        code = main([command, path, *COMMAND_TAILS[command], "--json"])
+        assert code == 65
+        captured = capsys.readouterr()
+        self.assert_one_error_line(captured.err, error_type)
+        [line] = captured.out.strip().splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == error_type
+        expected_line = f"error: {error_type}: {error['message']}"
+        assert captured.err.strip() == expected_line
+        assert error["retryable"] is False
+        assert error["detail"] == {"input": "schema"}
+
+    @pytest.mark.parametrize("command", ["decide", "plan"])
+    def test_json_mode_query_error(self, command, schema_file, capsys):
+        code = main([command, schema_file, "Udirectory(i,", "--json"])
+        assert code == 65
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["detail"] == {"input": "query"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "schema.json"],
+            ["decide", "schema.json", "R(x)", "--bogus"],
+            ["decide", "schema.json", "R(x)", "--max-rounds", "many"],
+            ["plan"],
+            ["plan", "schema.json", "R(x)", "--bogus"],
+            ["simplify", "schema.json"],
+            ["simplify", "schema.json", "bogus"],
+            ["classify"],
+            ["classify", "schema.json", "--bogus"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_usage_errors_exit_64(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 64
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decide", "--help"])
+        assert exit_info.value.code == 0
