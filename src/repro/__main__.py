@@ -35,11 +35,14 @@ Commands
 
 Exit codes: ``decide`` uses 0/1/2 for YES/NO/UNKNOWN (``plan``: 0 for a
 plan, 1 for none).  A usage error (bad flag, missing argument) exits 64
-(``EX_USAGE``).  For ``decide``, ``plan``, ``simplify`` and ``classify``,
-an input that cannot be loaded — a missing or unreadable file, bad
-JSON, an invalid schema, an unparseable query — prints one line
-``error: <Type>: <message>`` on stderr (plus the `repro.io.ErrorFrame`
-JSON on stdout under ``--json``) and exits 65 (``EX_DATAERR``).
+(``EX_USAGE``).  For every command, an input that cannot be loaded — a
+missing or unreadable file, bad JSON, an invalid schema, an unparseable
+query — prints one line ``error: <Type>: <message>`` on stderr (plus
+the `repro.io.ErrorFrame` JSON on stdout under ``--json``) and exits 65
+(``EX_DATAERR``).  ``batch``, ``serve``, ``supervise`` and ``fleet``
+load their default schema before they read a request or spawn a
+worker; ``batch`` then reports bad request lines as per-line error
+frames.
 
 All commands are built on `repro.service.Session`, so a process serving
 many queries pays the per-schema analysis once.  ``--max-rounds`` /
@@ -611,7 +614,7 @@ def _limits(args: argparse.Namespace) -> SessionLimits:
 def _pool(args: argparse.Namespace, *, pool_size: int) -> SessionPool:
     schema = getattr(args, "schema", None)
     return SessionPool(
-        load_schema(schema) if schema is not None else None,
+        _load("schema", load_schema, schema) if schema is not None else None,
         limits=_limits(args),
         pool_size=pool_size,
         max_fingerprints=getattr(
@@ -851,9 +854,17 @@ def _worker_spec(
     )
 
 
+def _check_default_schema(args: argparse.Namespace) -> None:
+    """Load the default schema once in the parent, so an unloadable
+    one is an exit-65 input error rather than a crash loop of workers."""
+    if args.schema is not None:
+        _load("schema", load_schema, args.schema)
+
+
 def _cmd_supervise(args: argparse.Namespace) -> int:
     from .server import CrashLoopError
 
+    _check_default_schema(args)
     spec = _worker_spec(args, threads=args.workers)
     supervisor = spec.supervisor()
     where = (
@@ -902,6 +913,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from .server import Fleet, FleetDispatcher
 
+    _check_default_schema(args)
     workers = max(1, args.workers)
     channels = args.channels_per_worker or args.worker_threads
     # Workers always bind loopback ephemeral ports and announce them

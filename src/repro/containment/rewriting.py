@@ -148,6 +148,15 @@ IntState = tuple[IntAtom, ...]
 #: memos are pure caches: a cleared key is recomputed on its next use).
 KEY_MEMO_LIMIT = 1 << 16
 
+#: Cached state expansions a `RewriteEngine` holds before it drops its
+#: whole int-space generation (codec, steps, expansions, results) after
+#: a rewrite.  Far above the largest single rewrite of the Table-1
+#: corpora and `bench_rewriting_reuse` (256 expansions: bounded
+#: lookup-chain n=8, unbounded n=4, the n=8 join chain), so one query
+#: never outgrows a generation; it bounds a long-lived engine that sees
+#: a stream of never-seen constants to a few tens of MB.
+MEMO_LIMIT = 8192
+
 #: Interned canonical/fresh variables (the hot loop allocates none).
 #: The pools are process-global — engines on different schemas share
 #: them — so growth takes a lock; reads are safe because the pools only
@@ -494,15 +503,7 @@ class RewriteEngine:
             self._rules_by_head[key] = self._rules_by_head.get(key, ()) + (
                 index,
             )
-        #: Frontier states live in int space (`StateCodec`); only
-        #: emitted disjuncts are decoded back to atoms.
-        self._codec = StateCodec()
-        #: atom pattern -> compiled steps (the per-atom rewrite memo).
-        self._steps: dict[tuple, tuple[_IntStep, ...]] = {}
-        #: canonical state -> canonical successor states.
-        self._expansions: dict[IntState, tuple[IntState, ...]] = {}
-        #: initial canonical state -> (frontier size, emitted disjuncts).
-        self._results: dict[IntState, tuple[int, tuple[State, ...]]] = {}
+        self._new_generation()
         #: optional durable tier behind the whole-result memo
         #: (`bind_store`): misses fall through to it before the BFS,
         #: complete results are written through after the memo.
@@ -523,7 +524,21 @@ class RewriteEngine:
             "disjuncts_subsumed": 0,
             "persisted_loads": 0,
             "persisted_writes": 0,
+            "generations_dropped": 0,
         }
+
+    def _new_generation(self) -> None:
+        """Start an empty int-space generation.  Every memo below keys
+        on the codec's ids, so they are only ever dropped together."""
+        #: Frontier states live in int space (`StateCodec`); only
+        #: emitted disjuncts are decoded back to atoms.
+        self._codec = StateCodec()
+        #: atom pattern -> compiled steps (the per-atom rewrite memo).
+        self._steps: dict[tuple, tuple[_IntStep, ...]] = {}
+        #: canonical state -> canonical successor states.
+        self._expansions: dict[IntState, tuple[IntState, ...]] = {}
+        #: initial canonical state -> (frontier size, emitted disjuncts).
+        self._results: dict[IntState, tuple[int, tuple[State, ...]]] = {}
 
     @property
     def subsumption(self) -> bool:
@@ -953,48 +968,22 @@ class RewriteEngine:
         complete artifacts behind (``_expansions`` entries are whole
         per-state expansions — valid regardless of which rewrite built
         them).
+
+        Once a rewrite, finished or aborted, leaves more than
+        `MEMO_LIMIT` cached expansions, the engine drops its memo
+        generation; later queries rebuild what they need, with
+        identical output.
         """
         if query.free_variables:
             raise RewritingError("rewriting is implemented for Boolean CQs")
         limit = self.max_disjuncts if max_disjuncts is None else max_disjuncts
         with stage("rewrite"), self._lock:
-            self._counters["rewrites"] += 1
-            codec = self._codec
-            start = codec.canonical(codec.encode(query.atoms))
-            cached = self._results.get(start)
-            if cached is None and self._store is not None:
-                cached = self._load_persisted(codec.decode(start))
-                if cached is not None:
-                    self._results[start] = cached
-                    self._counters["persisted_loads"] += 1
-            if cached is not None:
-                frontier_size, disjuncts = cached
-                self._counters["result_hits"] += 1
-                if frontier_size > limit:
-                    raise RewritingBudgetExceeded(limit, limit + 1)
-            else:
-                seen = {start}
-                frontier = [start]
-                queue = [start]
-                while queue:
-                    if budget is not None:
-                        budget.check()
-                    for successor in self._expand(queue.pop()):
-                        if successor not in seen:
-                            seen.add(successor)
-                            frontier.append(successor)
-                            queue.append(successor)
-                            if len(frontier) > limit:
-                                raise RewritingBudgetExceeded(
-                                    limit, len(frontier)
-                                )
-                self._counters["states"] += len(frontier)
-                disjuncts = self._emit(frontier, budget)
-                self._results[start] = (len(frontier), disjuncts)
-                if self._store is not None:
-                    self._persist_result(
-                        codec.decode(start), len(frontier), disjuncts
-                    )
+            try:
+                disjuncts = self._rewrite_locked(query, limit, budget)
+            finally:
+                if len(self._expansions) > MEMO_LIMIT:
+                    self._new_generation()
+                    self._counters["generations_dropped"] += 1
         return UnionOfConjunctiveQueries(
             tuple(
                 ConjunctiveQuery(atoms, (), f"{query.name}_rw{i}")
@@ -1002,6 +991,53 @@ class RewriteEngine:
             ),
             name=f"{query.name}_rewriting",
         )
+
+    def _rewrite_locked(
+        self,
+        query: ConjunctiveQuery,
+        limit: int,
+        budget: Optional[Budget],
+    ) -> tuple[State, ...]:
+        """The emitted disjuncts of ``query`` (memo, durable tier or
+        BFS); the caller holds the engine lock."""
+        self._counters["rewrites"] += 1
+        codec = self._codec
+        start = codec.canonical(codec.encode(query.atoms))
+        cached = self._results.get(start)
+        if cached is None and self._store is not None:
+            cached = self._load_persisted(codec.decode(start))
+            if cached is not None:
+                self._results[start] = cached
+                self._counters["persisted_loads"] += 1
+        if cached is not None:
+            frontier_size, disjuncts = cached
+            self._counters["result_hits"] += 1
+            if frontier_size > limit:
+                raise RewritingBudgetExceeded(limit, limit + 1)
+        else:
+            seen = {start}
+            frontier = [start]
+            queue = [start]
+            while queue:
+                if budget is not None:
+                    budget.check()
+                for successor in self._expand(queue.pop()):
+                    if successor not in seen:
+                        seen.add(successor)
+                        frontier.append(successor)
+                        queue.append(successor)
+                        if len(frontier) > limit:
+                            raise RewritingBudgetExceeded(
+                                limit, len(frontier)
+                            )
+            self._counters["states"] += len(frontier)
+            disjuncts = self._emit(frontier, budget)
+            self._results[start] = (len(frontier), disjuncts)
+            if self._store is not None:
+                self._persist_result(
+                    codec.decode(start), len(frontier), disjuncts
+                )
+        return disjuncts
 
     def stats(self) -> dict:
         """Cache-traffic counters (cross-query reuse shows up here)."""

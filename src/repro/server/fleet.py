@@ -69,7 +69,7 @@ from ..obs.logs import RequestLogger
 from ..obs.registry import MetricsRegistry, merge_snapshots
 from ..runtime import Overloaded, WorkerLost
 from .hashring import DEFAULT_REPLICAS, HashRing
-from .server import MAX_FRAME_BYTES
+from .server import MAX_FRAME_BYTES, FrameLoop
 from .supervisor import CrashLoopError, Supervisor, WorkerSpec
 
 __all__ = ["Fleet", "FleetDispatcher", "run_fleet"]
@@ -301,7 +301,7 @@ class FleetDispatcher:
         #: canonical schema spelling -> learned content fingerprint.
         self._routes: OrderedDict[str, str] = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._draining: Optional[asyncio.Event] = None
+        self._frames = FrameLoop()
         self._conn_tasks: set[asyncio.Task] = set()
         self._counters = {
             "connections": 0,
@@ -365,7 +365,6 @@ class FleetDispatcher:
     async def start(self) -> "FleetDispatcher":
         if self._server is not None:
             return self
-        self._draining = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -383,7 +382,7 @@ class FleetDispatcher:
 
     @property
     def draining(self) -> bool:
-        return self._draining is not None and self._draining.is_set()
+        return self._frames.draining
 
     async def serve_forever(self) -> None:
         await self.start()
@@ -402,8 +401,7 @@ class FleetDispatcher:
         themselves), then remaining connection tasks are
         force-cancelled and every worker channel torn down.
         """
-        if self._draining is not None:
-            self._draining.set()
+        self._frames.drain()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -506,7 +504,7 @@ class FleetDispatcher:
             self._routes.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Connection handling (same staging as DecideServer)
+    # Connection handling (`FrameLoop`, shared with DecideServer)
     # ------------------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -516,61 +514,14 @@ class FleetDispatcher:
             self._conn_tasks.add(task)
         self._counters["connections"] += 1
         self._counters["connections_open"] += 1
-        assert self._draining is not None
         try:
-            while not self._draining.is_set():
-                read = asyncio.ensure_future(reader.readline())
-                drain = asyncio.ensure_future(self._draining.wait())
-                try:
-                    await asyncio.wait(
-                        {read, drain}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                finally:
-                    drain.cancel()
-                    if not read.done():
-                        read.cancel()
-                        try:
-                            await read
-                        except (asyncio.CancelledError, Exception):
-                            pass
-                if not read.done() or read.cancelled():
-                    break
-                try:
-                    line = read.result()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._counters["errors"] += 1
-                    frame = ErrorFrame(
-                        "FrameTooLong",
-                        f"request frame exceeds {MAX_FRAME_BYTES} bytes",
-                    ).to_dict()
-                    await self._write(writer, frame)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                frame = await self._process_line(line)
-                await self._write(writer, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            await self._frames.serve(
+                reader, writer, self._process_line, self._counters
+            )
         finally:
             self._counters["connections_open"] -= 1
             if task is not None:
                 self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, frame: dict) -> None:
-        # sort_keys: aggregated stats/metrics frames promise a stable
-        # key order to scrapers and diffing tools.
-        writer.write(
-            json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
-        )
-        await writer.drain()
 
     async def _process_line(self, line: bytes) -> dict:
         started = time.perf_counter()

@@ -19,8 +19,14 @@ evicted LRU once `max_fingerprints` distinct schemas have been seen
 
 `process(request)` is the transport-independent request path shared by
 the asyncio server, the WSGI adapter, and the batch CLI: route, decide
-or plan, stamp the request id.  `stats()` aggregates `Session.stats()`
-across the pool per fingerprint, plus the pool's own routing counters.
+or plan, stamp the request id.  `lookup(request)` is its non-computing
+twin for decide frames: it routes only through state that already
+exists (a known schema spelling, a full session slice) and asks the
+session that `process` would pick for a cached answer to the exact
+query text, committing the routing counters only when it finds one —
+so a miss can fall through to `process` as if `lookup` never ran.
+`stats()` aggregates `Session.stats()` across the pool per fingerprint,
+plus the pool's own routing counters.
 """
 
 from __future__ import annotations
@@ -115,6 +121,14 @@ class _Entry:
             return session
         self.cursor = (self.cursor + 1) % len(self.sessions)
         return self.sessions[self.cursor]
+
+    def peek_session(self, pool_size: int) -> Optional[Session]:
+        """The session `next_session` would return, without taking
+        it; None while the slice is still growing (the next request
+        creates a session, whose cache is empty)."""
+        if len(self.sessions) < pool_size:
+            return None
+        return self.sessions[(self.cursor + 1) % len(self.sessions)]
 
     def stats(self) -> dict:
         """`Session.stats()` aggregated over the slice: per-schema
@@ -238,6 +252,26 @@ class SessionPool:
         while len(self._text_keys) > self._max_text_keys:
             self._text_keys.popitem(last=False)
 
+    def _known_entry(self, text_key: str) -> Optional[_Entry]:
+        """The live entry a known schema spelling routes to, or None;
+        counts and reorders nothing."""
+        fingerprint = self._text_keys.get(text_key)
+        if fingerprint is None:
+            return None
+        if (
+            self._default is not None
+            and fingerprint == self._default.compiled.fingerprint
+        ):
+            return self._default
+        return self._entries.get(fingerprint)
+
+    def _text_key_hit(self, text_key: str, entry: _Entry) -> None:
+        """Account a request routed by its schema spelling."""
+        self._counters["text_key_hits"] += 1
+        self._text_keys.move_to_end(text_key)
+        if entry is not self._default:
+            self._entries.move_to_end(entry.compiled.fingerprint)
+
     def _entry_for(
         self,
         schema: SchemaLike,
@@ -252,20 +286,10 @@ class SessionPool:
         text_key = None
         if isinstance(schema, dict):
             text_key = json.dumps(schema, sort_keys=True)
-            fingerprint = self._text_keys.get(text_key)
-            if fingerprint is not None:
-                self._text_keys.move_to_end(text_key)
-                if (
-                    self._default is not None
-                    and fingerprint == self._default.compiled.fingerprint
-                ):
-                    self._counters["text_key_hits"] += 1
-                    return self._default
-                entry = self._entries.get(fingerprint)
-                if entry is not None:
-                    self._counters["text_key_hits"] += 1
-                    self._entries.move_to_end(fingerprint)
-                    return entry
+            entry = self._known_entry(text_key)
+            if entry is not None:
+                self._text_key_hit(text_key, entry)
+                return entry
         if precompiled is not None:
             # `warm_many` already built this schema outside the lock;
             # account for the compile exactly as `_compile` would have.
@@ -509,6 +533,58 @@ class SessionPool:
             # Copy: the session cache keeps the id-free original.
             response = dataclasses.replace(response, id=request.id)
         return response
+
+    def lookup(self, request: DecideRequest) -> Optional[DecideResponse]:
+        """A session-cache hit for a decide frame, or None.
+
+        Routes like `process` — the schema spelling, then the session
+        `process` would pick next — but only through state that already
+        exists: an unknown spelling, a slice still growing, a query text
+        its session has not cached, or a pool lock held by a compiling
+        worker all give None.  It never compiles, parses or decides,
+        and touches the durable store never, so an event loop may call
+        it inline.  Counters (requests, text-key hits, the entry's
+        requests and round-robin cursor, session hits, shard heat) are
+        committed only on a hit, exactly as `process` would commit
+        them; a None leaves the pool as if `lookup` had not run.  The
+        response shares its ``detail`` with the cache entry (see
+        `Session.lookup`).
+        """
+        if request.op != "decide":
+            return None
+        schema = request.schema
+        text_key = None
+        if schema is not None:
+            if not isinstance(schema, dict):
+                return None
+            text_key = json.dumps(schema, sort_keys=True)
+        # Never wait: the lock may be held for a whole compile.
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            if text_key is None:
+                entry = self._default
+            else:
+                entry = self._known_entry(text_key)
+            if entry is None:
+                return None
+            session = entry.peek_session(self.pool_size)
+            if session is None:
+                return None
+            response = session.lookup(
+                request.query, finite=request.finite, id=request.id
+            )
+            if response is None:
+                return None
+            self._counters["requests"] += 1
+            if text_key is not None:
+                self._text_key_hit(text_key, entry)
+            entry.requests += 1
+            entry.cursor = (entry.cursor + 1) % len(entry.sessions)
+            self._record_heat(response.fingerprint, cached=True)
+            return response
+        finally:
+            self._lock.release()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -8,9 +8,13 @@ response line a `DecideResponse`, `PlanResponse`, stats, pong, or
 order (responses line up with requests); concurrency comes from
 concurrent connections.
 
-The event loop never decides anything itself: decisions run on a
+The event loop never computes a decision itself: decisions run on a
 bounded worker-thread executor, so slow chases cannot stall frame
-parsing, stats probes, or other connections.  Backpressure is a
+parsing, stats probes, or other connections.  What the loop does answer
+inline is a session-cache hit: after quotas, `SessionPool.lookup` (a
+few dict probes that never parse, compile or decide) is tried first,
+and only its misses are sent to the executor — counted as
+``inline_hits`` in the server stats.  Backpressure is a
 bounded in-flight gate: once ``max_pending`` decisions are queued or
 running, readers simply stop pulling new frames until capacity frees —
 the TCP receive window, not an unbounded buffer, absorbs the burst.
@@ -34,7 +38,9 @@ client saturating its bucket gets ``Overloaded`` frames with a
 **Graceful drain.** ``close(drain_timeout=...)`` stops accepting,
 lets in-flight work finish (cancelling budgets once half the timeout
 is spent), flushes final frames, and only then releases the executor.
-``python -m repro serve`` wires SIGTERM to exactly this path.
+``python -m repro serve`` wires SIGTERM to exactly this path.  Frames
+are read by `FrameLoop`, which the fleet dispatcher shares; its
+docstring gives the argument that a drain loses no frame it read.
 
 Malformed frames (bad JSON, unknown op, invalid schema, a query that
 does not parse) come back as structured `ErrorFrame`s on the stream —
@@ -61,7 +67,7 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Awaitable, Callable, Optional
 
 from ..io import DecideRequest, ErrorFrame
 from ..obs.logs import RequestLogger
@@ -85,6 +91,105 @@ MAX_FRAME_BYTES = 1 << 20
 DEFAULT_RETRY_AFTER_MS = 50.0
 #: Bound on tracked per-client states (idle states are pruned first).
 MAX_CLIENT_STATES = 1024
+
+
+class _Drained(Exception):
+    """Raised out of an idle connection's ``readline`` by a drain."""
+
+
+async def _write_frame(writer: asyncio.StreamWriter, frame: dict) -> None:
+    """Send one response line.  ``sort_keys``: introspection payloads
+    promise a stable key order to scrapers and diffing tools; response
+    frames are small, so sorting everything costs nothing measurable."""
+    writer.write(json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n")
+    await writer.drain()
+
+
+class FrameLoop:
+    """The newline-framed connection read loop and its drain, shared by
+    `DecideServer` and the fleet dispatcher.
+
+    Each connection task awaits ``reader.readline()`` itself, so a frame
+    costs no task, future or wait set on the event loop.  While it waits
+    for a frame the connection's reader sits in an idle set; everything
+    else the task does (processing a frame, writing the reply) happens
+    outside it.
+
+    `drain` sets the flag every loop iteration tests before reading, so
+    a busy connection finishes the frame in hand, writes its reply and
+    stops.  Idle readers are woken with an exception set on the
+    `asyncio.StreamReader` — never by cancelling the task — two loop
+    iterations later: a frame whose bytes reached the socket before the
+    drain began is picked up by the selector poll between the two hops,
+    as with the per-frame race this loop replaced.  Setting the
+    exception cannot lose a frame: ``readline`` consumes buffer bytes
+    only in the step that returns them to the connection task, and an
+    exception set after the data has woken the reader is only raised by
+    a later read, so a line that completed first is returned, answered
+    and flushed before the connection closes.  A reader that woke for a
+    partial line and waits again is woken again on the next iteration,
+    so the wake repeats until no reader is idle.
+    """
+
+    def __init__(self) -> None:
+        self.draining = False
+        self._idle: set[asyncio.StreamReader] = set()
+
+    def drain(self) -> None:
+        """Stop reading frames (idempotent; needs the running loop)."""
+        if self.draining:
+            return
+        self.draining = True
+        loop = asyncio.get_running_loop()
+        loop.call_soon(loop.call_soon, self._wake_idle)
+
+    def _wake_idle(self) -> None:
+        for reader in self._idle:
+            reader.set_exception(_Drained())
+        if self._idle:
+            asyncio.get_running_loop().call_soon(self._wake_idle)
+
+    async def serve(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        process: Callable[[bytes], Awaitable[dict]],
+        counters: dict,
+    ) -> None:
+        """Answer each frame with ``process(line)`` until EOF, a drain,
+        or a frame longer than `MAX_FRAME_BYTES`, which counts in
+        ``counters["errors"]``, gets a ``FrameTooLong`` error frame and
+        ends the connection (the line stream cannot be resynchronized)."""
+        try:
+            while not self.draining:
+                self._idle.add(reader)
+                try:
+                    line = await reader.readline()
+                except (asyncio.LimitOverrunError, ValueError):
+                    counters["errors"] += 1
+                    frame = ErrorFrame(
+                        "FrameTooLong",
+                        f"request frame exceeds {MAX_FRAME_BYTES} bytes",
+                    ).to_dict()
+                    await _write_frame(writer, frame)
+                    break
+                finally:
+                    self._idle.discard(reader)
+                if not line:
+                    break
+                if not line.strip():
+                    continue
+                await _write_frame(writer, await process(line))
+        except (ConnectionResetError, BrokenPipeError, _Drained):
+            # _Drained out of write_frame: the reply is already in the
+            # transport buffer, which closing flushes.
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
 
 
 class _ClientState:
@@ -185,7 +290,7 @@ class DecideServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._gate: Optional[asyncio.Semaphore] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._draining: Optional[asyncio.Event] = None
+        self._frames = FrameLoop()
         self._conn_tasks: set[asyncio.Task] = set()
         self._budgets: set[Budget] = set()
         self._clients: dict[str, _ClientState] = {}
@@ -198,6 +303,7 @@ class DecideServer:
             "connections_open": 0,
             "frames": 0,
             "responses": 0,
+            "inline_hits": 0,
             "errors": 0,
             "in_flight": 0,
             "overloaded": 0,
@@ -225,7 +331,6 @@ class DecideServer:
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._gate = asyncio.Semaphore(self.max_pending)
-        self._draining = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -244,7 +349,7 @@ class DecideServer:
 
     @property
     def draining(self) -> bool:
-        return self._draining is not None and self._draining.is_set()
+        return self._frames.draining
 
     async def serve_forever(self) -> None:
         """Start (if needed) and block until cancelled/closed."""
@@ -270,8 +375,7 @@ class DecideServer:
         indefinitely for in-flight work (the pre-drain behavior, minus
         accepting new frames).
         """
-        if self._draining is not None:
-            self._draining.set()
+        self._frames.drain()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -476,67 +580,17 @@ class DecideServer:
         peer = peername[0] if peername else "?"
         self._counters["connections"] += 1
         self._counters["connections_open"] += 1
-        assert self._draining is not None
         try:
-            while not self._draining.is_set():
-                read = asyncio.ensure_future(reader.readline())
-                drain = asyncio.ensure_future(self._draining.wait())
-                try:
-                    await asyncio.wait(
-                        {read, drain}, return_when=asyncio.FIRST_COMPLETED
-                    )
-                finally:
-                    drain.cancel()
-                    if not read.done():
-                        # Drain won the race: stop reading; no frame is
-                        # lost (the request was never accepted).
-                        read.cancel()
-                        try:
-                            await read
-                        except (asyncio.CancelledError, Exception):
-                            pass
-                if not read.done() or read.cancelled():
-                    break
-                try:
-                    line = read.result()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                ):  # frame longer than MAX_FRAME_BYTES
-                    self._counters["errors"] += 1
-                    frame = ErrorFrame(
-                        "FrameTooLong",
-                        f"request frame exceeds {MAX_FRAME_BYTES} bytes",
-                    ).to_dict()
-                    await self._write(writer, frame)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                frame = await self._process_line(line, peer)
-                await self._write(writer, frame)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            await self._frames.serve(
+                reader,
+                writer,
+                lambda line: self._process_line(line, peer),
+                self._counters,
+            )
         finally:
             self._counters["connections_open"] -= 1
             if task is not None:
                 self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, frame: dict) -> None:
-        # sort_keys: introspection payloads promise a stable key order
-        # to scrapers and diffing tools; response frames are small, so
-        # sorting everything costs nothing measurable.
-        writer.write(
-            json.dumps(frame, sort_keys=True).encode("utf-8") + b"\n"
-        )
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # Frame processing
@@ -583,6 +637,13 @@ class DecideServer:
             if request.id is not None:
                 shed = dataclasses.replace(shed, id=request.id)
             return request, shed.to_dict()
+        lookup = getattr(self.pool, "lookup", None)
+        if lookup is not None:
+            response = lookup(request)
+            if response is not None:
+                self._counters["responses"] += 1
+                self._counters["inline_hits"] += 1
+                return request, response.to_dict()
         assert self._gate is not None and self._executor is not None
         acquired = False
         if self.shed_after_ms is not None:

@@ -14,6 +14,13 @@ fingerprint, canonical query form): queries that differ only in
 variable names or in the query name share an entry.  Responses are
 wire-ready (`to_dict`) and mark cache hits with ``cached=True``.
 
+Query *text* already seen is answered without parsing: a bounded
+spelling index maps ``(text, finite)`` to the LRU key and the parsed
+query's repr, so a repeated spelling costs two dict lookups.
+`Session.lookup` is that probe on its own — it never parses, decides
+or touches the durable store, which makes it safe to call from an
+event loop — and `Session.decide` runs it as its first step.
+
 Resource limits (``max_rounds``, ``max_facts``) bound the semidecidable
 chase routes, replacing the per-call keyword defaults of the free
 functions; routes with their own termination guarantee (the FD chase,
@@ -120,7 +127,14 @@ class Session:
         #: are deterministic and identical for every setting.
         self.chase_parallelism = chase_parallelism
         self.cache_size = cache_size
+        #: LRU key -> cached response.  Entries are never mutated after
+        #: insertion; hits are built from them, not handed out.
         self._cache: OrderedDict[tuple, Any] = OrderedDict()
+        #: (query text, finite) -> (LRU key, repr of the parsed query):
+        #: the parse-free spelling index.  LRU-capped at ``cache_size``
+        #: entries; a spelling whose key the decision LRU has evicted is
+        #: dropped when next probed.
+        self._spellings: OrderedDict[tuple, tuple[tuple, str]] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -167,6 +181,71 @@ class Session:
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
+
+    def _remember_spelling(
+        self, text: str, finite: bool, key: tuple, query_repr: str
+    ) -> None:
+        if self.cache_size <= 0:
+            return
+        with self._lock:
+            spellings = self._spellings
+            spellings[(text, finite)] = (key, query_repr)
+            spellings.move_to_end((text, finite))
+            while len(spellings) > self.cache_size:
+                spellings.popitem(last=False)
+
+    @staticmethod
+    def _hit(
+        entry: DecideResponse,
+        query_repr: str,
+        started: float,
+        id: Any = None,
+    ) -> DecideResponse:
+        """A hit response built from a cache entry.  ``detail`` and
+        ``error`` are the entry's own objects: callers that hand the
+        response out for mutation copy them first."""
+        return DecideResponse(
+            query=query_repr,
+            decision=entry.decision,
+            reason=entry.reason,
+            route=entry.route,
+            constraint_class=entry.constraint_class,
+            fingerprint=entry.fingerprint,
+            cached=True,
+            # This lookup's cost, not the original decision's.
+            elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
+            id=id,
+            detail=entry.detail,
+            error=entry.error,
+        )
+
+    def lookup(
+        self, text: str, *, finite: bool = False, id: Any = None
+    ) -> Optional[DecideResponse]:
+        """The cached decision for a query spelling seen before, or None.
+
+        Never parses, decides or reads the durable store, and counts a
+        hit only when it returns one (a None counts nothing), so a
+        caller may fall back to `decide` without skewing the counters.
+        ``id`` is stamped on the response.  The response shares
+        ``detail`` with the cache entry: serialize it, do not mutate it
+        (`decide` returns caller-owned copies).
+        """
+        started = time.perf_counter()
+        spelling = (text, finite)
+        with self._lock:
+            spelled = self._spellings.get(spelling)
+            if spelled is None:
+                return None
+            key, query_repr = spelled
+            entry = self._cache.get(key)
+            if entry is None:  # the decision LRU evicted its key
+                del self._spellings[spelling]
+                return None
+            self._spellings.move_to_end(spelling)
+            self._cache.move_to_end(key)
+            self.hits += 1
+        return self._hit(entry, query_repr, started, id)
 
     # ------------------------------------------------------------------
     # Durable tier (load-through / write-through around the LRU)
@@ -243,6 +322,11 @@ class Session:
         budget is already exhausted (they cost microseconds).
         """
         started = time.perf_counter()
+        text = query if isinstance(query, str) else None
+        if text is not None:
+            known = self.lookup(text, finite=finite)
+            if known is not None:
+                return self._owned(known)
         parsed = self._coerce(query)
         key = ("decide", canonical_query_key(parsed), finite)
         hit = self._cache_get(key)
@@ -256,19 +340,10 @@ class Session:
                 if hit is not None:
                     self._cache_put(key, hit)
         if hit is not None:
-            # Fresh copy (detail included): callers may annotate the
-            # response without poisoning the cache entry.  elapsed_ms is
-            # this lookup's cost, not the original decision's.
-            return replace(
-                hit,
-                cached=True,
-                query=repr(parsed),
-                elapsed_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3
-                ),
-                detail=copy.deepcopy(hit.detail),
-                error=copy.deepcopy(hit.error),
-            )
+            query_repr = repr(parsed)
+            if text is not None:
+                self._remember_spelling(text, finite, key, query_repr)
+            return self._owned(self._hit(hit, query_repr, started))
         if budget is not None:
             budget.check()
         result = self._decide_result(parsed, finite=finite, budget=budget)
@@ -304,12 +379,23 @@ class Session:
                 error=None,
             )
             self._cache_put(key, cacheable)
+            if text is not None:
+                self._remember_spelling(text, finite, key, response.query)
             if durable_key is not None:
                 self._durable_put(durable_key, cacheable)
         # Responses carrying a structured error (rewriting/chase budget
         # hits) are *not* cached: they reflect resource limits, not the
         # query, and must be recomputed — and rechecked against the
         # limits — on every request.
+        return response
+
+    @staticmethod
+    def _owned(response: DecideResponse) -> DecideResponse:
+        """``response`` with its own ``detail``/``error`` copies: callers
+        may annotate what `decide` returns without poisoning the cache
+        entry it was built from."""
+        response.detail = copy.deepcopy(response.detail)
+        response.error = copy.deepcopy(response.error)
         return response
 
     def _decide_result(
@@ -470,6 +556,7 @@ class Session:
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
+            self._spellings.clear()
 
     def __repr__(self) -> str:
         return (

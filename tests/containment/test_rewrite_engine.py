@@ -89,6 +89,46 @@ class TestMemoization:
         assert engine.stats()["result_hits"] == 1
 
 
+class TestMemoGenerations:
+    def test_expansions_stay_bounded_over_fresh_constants(self, monkeypatch):
+        # A long-lived engine fed never-seen constants: every query
+        # builds new states (144 here), so without generations the memo
+        # only grows.
+        from repro.containment import rewriting
+
+        monkeypatch.setattr(rewriting, "MEMO_LIMIT", 500)
+        rules = compile_schema(id_chain_workload(6).schema).linearization().rules
+        engine = RewriteEngine(rules)
+
+        def fresh_query(index):
+            return prime_query(
+                boolean_cq(
+                    [atom("R4", Constant(f"fresh{index}")), atom("R2", "x")]
+                )
+            )
+
+        for index in range(40):
+            query = fresh_query(index)
+            ucq = engine.rewrite(query)
+            assert len(engine._expansions) <= rewriting.MEMO_LIMIT
+            if index % 10 == 0:
+                fresh = RewriteEngine(rules).rewrite(query)
+                assert _disjunct_reprs(ucq) == _disjunct_reprs(fresh)
+        stats = engine.stats()
+        assert stats["generations_dropped"] >= 5
+        assert stats["rewrites"] == 40
+        # A generation still memoizes: right after a drop, a new query
+        # asked twice is a result hit the second time.
+        index = 40
+        while engine.stats()["generations_dropped"] == stats["generations_dropped"]:
+            engine.rewrite(fresh_query(index))
+            index += 1
+        engine.rewrite(fresh_query(index))
+        hits = engine.stats()["result_hits"]
+        engine.rewrite(fresh_query(index))
+        assert engine.stats()["result_hits"] == hits + 1
+
+
 class TestDeterminism:
     def test_two_engines_emit_identical_output(self):
         compiled = compile_schema(

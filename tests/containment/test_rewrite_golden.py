@@ -331,3 +331,15 @@ def test_key_memo_clears_keep_the_output(monkeypatch, family, subsumption):
     # with a tiny limit they clear on nearly every call.
     monkeypatch.setattr(rewriting, "KEY_MEMO_LIMIT", 3)
     check_family(family, subsumption)
+
+
+@pytest.mark.parametrize("subsumption", [False, True], ids=["raw", "sub"])
+@pytest.mark.parametrize("family", sorted(families()))
+def test_memo_generation_drops_keep_the_output(
+    monkeypatch, family, subsumption
+):
+    # With a one-expansion limit the engine drops its whole int-space
+    # generation (codec, steps, expansions, results) after every
+    # rewrite, so each later query of a family starts from scratch.
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", 1)
+    check_family(family, subsumption)

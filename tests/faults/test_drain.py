@@ -98,10 +98,12 @@ class TestSigtermDrain:
     def test_slow_request_is_deadline_cancelled_within_drain_timeout(
         self, tmp_path
     ):
-        # lookup_chain(6) runs for seconds; a 1s drain budget cancels
-        # it halfway through and the client still gets a final frame.
+        # lookup_chain(7) runs for seconds (~10 s; depth 6 now decides
+        # in under a second, about when the drain's cancel lands); a 1s
+        # drain budget cancels it halfway through and the client still
+        # gets a final frame.
         process, workload, host, port = start_server(
-            tmp_path, 6, "--drain-timeout", "1"
+            tmp_path, 7, "--drain-timeout", "1"
         )
         try:
             with socket.create_connection((host, port), timeout=30) as conn:

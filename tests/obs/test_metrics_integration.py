@@ -170,6 +170,46 @@ class TestDecideServerMetrics:
         assert err["outcome"] == "error"
         assert err["error_type"] == "ParseError"
 
+    def test_inline_hit_is_counted_and_has_no_queue_stage(self):
+        # A cold decide still goes through the executor (queue, then
+        # compile); its repeat is answered on the event loop, which the
+        # ``inline_hits`` counter and the missing queue stage show.
+        stream = io.StringIO()
+        inline_chain = {
+            "relations": {"Dir": 1, "L0": 2},
+            "methods": [
+                {"name": "dump", "relation": "Dir", "inputs": []},
+                {"name": "by_id", "relation": "L0", "inputs": [1]},
+            ],
+            "constraints": ["L0(x, p) -> Dir(x)"],
+        }
+        frame = {"query": "Dir(x)", "schema": inline_chain}
+
+        async def scenario():
+            pool = SessionPool(pool_size=1)
+            server = DecideServer(
+                pool,
+                port=0,
+                metrics=MetricsRegistry(),
+                request_log=RequestLogger(stream=stream),
+            )
+            await server.start()
+            try:
+                replies = await exchange(server.address, [frame, frame])
+            finally:
+                await server.close()
+            return replies, server.server_stats()
+
+        (cold, hot), stats = run(scenario())
+        assert not cold["cached"] and hot["cached"]
+        assert stats["inline_hits"] == 1
+        cold_log, hot_log = [
+            json.loads(line) for line in stream.getvalue().splitlines()
+        ]
+        assert {"queue", "compile"} <= set(cold_log["stages_ms"])
+        assert hot_log["cached"] is True
+        assert "queue" not in (hot_log.get("stages_ms") or {})
+
     def test_wire_frames_use_stable_key_order(self):
         async def scenario():
             pool = SessionPool(university_schema(ud_bound=100))

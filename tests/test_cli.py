@@ -345,6 +345,12 @@ COMMAND_TAILS = {
     "plan": ["Udirectory(i,a,p)"],
     "simplify": ["choice"],
     "classify": [],
+    # The default schema is loaded before any request is read or any
+    # socket bound or worker spawned, so these never start serving.
+    "batch": [],
+    "serve": ["--port", "0"],
+    "supervise": ["--port", "0"],
+    "fleet": ["--port", "0"],
 }
 
 
